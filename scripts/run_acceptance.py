@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Run the acceptance battery and print one pass/fail line per criterion.
 
-Exits nonzero if any criterion fails.  A failing criterion listed in
-acceptance.KNOWN_UNATTAINABLE is marked as such; the list is empty, since
-every criterion is expected to pass.
+Exits nonzero if any criterion fails.
 """
 
 import sys
 import time
 
-from shiftrank.acceptance import ALL_CRITERIA, KNOWN_UNATTAINABLE
+from shiftrank.acceptance import ALL_CRITERIA
 
 
 def main() -> int:
@@ -17,8 +15,7 @@ def main() -> int:
     for cid, fn in ALL_CRITERIA:
         t0 = time.time()
         r = fn()
-        mark = " [known-unattainable]" if not r.ok and cid in KNOWN_UNATTAINABLE else ""
-        print(f"[{time.time() - t0:6.1f}s] {r.line()}{mark}", flush=True)
+        print(f"[{time.time() - t0:6.1f}s] {r.line()}", flush=True)
         if not r.ok:
             failed.append(cid)
     print()

@@ -1,7 +1,7 @@
 """shiftrank: certified exact rank intervals on the crossed product of the full shift."""
 
 from .crossed import CrossedElement, TruncatedElement, supports_level, truncate
-from .engine import RankInterval, auto_refine, rank_interval, rank_report, refine
+from .engine import RankInterval, auto_refine, rank_interval, rank_report
 from .errors import (
     BadConfig,
     BadLetter,
@@ -32,13 +32,10 @@ from .space import (
     BINARY,
     ClopenSet,
     LocallyConstantFn,
-    Point,
     SystemConfig,
     cylinder,
-    fn_eval,
     level_base,
     parse_system,
-    rank_locally_constant,
 )
 from .towers import (
     LevelScheme,
@@ -50,7 +47,6 @@ from .towers import (
     get_family,
     iter_return_words,
     mass_deficit,
-    tail_mass,
     tower_tail,
     verify_mass_identity,
 )

@@ -2,7 +2,10 @@
 
 Each suite exercises exact identities on randomized inputs at desk-scale
 parameters and reports one named result per property.  Results are
-deterministic for a fixed (config, field, seed).
+deterministic for a fixed (config, field, seed).  The hom, oracle and
+sylvester suites also take their scale (a pair or segment count, and for hom
+a family cap): the defaults are the CLI's, and the acceptance battery runs
+the same suites at its own pinned scale.
 """
 
 from __future__ import annotations
@@ -128,13 +131,14 @@ def suite_mass(config: SystemConfig, field: Field, seed: int) -> list[CheckResul
     return out
 
 
-def suite_hom(config: SystemConfig, field: Field, seed: int) -> list[CheckResult]:
+def suite_hom(config: SystemConfig, field: Field, seed: int,
+              pairs: int = 40, kmax: int = 6) -> list[CheckResult]:
+    """Projection onto every level-1 word with |W| <= kmax is a *-homomorphism."""
     rnd = random.Random(seed)
-    fam = get_family(config, 1, 6)
-    words = [w for w in fam.words if w.length <= 6]
+    words = get_family(config, 1, kmax).words
     ok_prod = True
     ok_star = True
-    for _ in range(40):
+    for _ in range(pairs):
         a = truncate(_random_element(rnd, config, field), 1)
         b = truncate(_random_element(rnd, config, field), 1)
         ab = a * b
@@ -145,55 +149,61 @@ def suite_hom(config: SystemConfig, field: Field, seed: int) -> list[CheckResult
                 ok_prod = False
             if project_element(astar, w) != ma.transpose():
                 ok_star = False
+    scope = f"{pairs} random pairs over {len(words)} words (|W| <= {kmax})"
     out = [
         CheckResult("projection-multiplicative", ok_prod,
-                    "project(ab) == project(a)project(b) on 40 random pairs"),
+                    f"project(ab) == project(a)project(b) on {scope}"),
         CheckResult("projection-star", ok_star,
-                    "project(a*) is the transpose of project(a)"),
+                    f"project(a*) is the transpose of project(a) on {scope}"),
     ]
-    w4 = next(w for w in words if w.length == 4)
     ok_units = True
-    for i in range(4):
-        for j in range(4):
-            eij = matrix_unit_element(w4, i, j, field)
+    zero = CrossedElement.zero(config, field)
+    for w in words:
+        k = w.length
+        units = {(i, j): matrix_unit_element(w, i, j, field)
+                 for i in range(k) for j in range(k)}
+        for (i, j), eij in units.items():
             tr = TruncatedElement.wrap(eij, 1)
-            if project_element(tr, w4) != WordMatrix.elementary(w4, field, i, j):
+            if project_element(tr, w) != WordMatrix.elementary(w, field, i, j):
                 ok_units = False
-            for kk in range(4):
-                for l in range(4):
-                    prod = eij * matrix_unit_element(w4, kk, l, field)
-                    expect = (
-                        matrix_unit_element(w4, i, l, field)
-                        if j == kk else CrossedElement.zero(config, field)
-                    )
-                    if prod != expect:
+            for kk in range(k):
+                for l in range(k):
+                    expect = units[i, l] if j == kk else zero
+                    if eij * units[kk, l] != expect:
                         ok_units = False
     out.append(CheckResult("matrix-unit-relations", ok_units,
-                           "e_ij e_kl = delta_jk e_il on the length-4 word"))
+                           f"e_ij projects to E_ij and e_ij e_kl = delta_jk e_il "
+                           f"on all {len(words)} words"))
     return out
 
 
-def suite_oracle(config: SystemConfig, field: Field, seed: int) -> list[CheckResult]:
+def suite_oracle(config: SystemConfig, field: Field, seed: int,
+                 segments: int = 30) -> list[CheckResult]:
+    """Occurrence formula against direct projection for random segment monomials.
+
+    Each segment monomial sits at a random level 0 or 1 and is checked on
+    every word of length 2..10 at that level.
+    """
     rnd = random.Random(seed)
+    kmax = 10
     ok = True
     checked = 0
-    for level in (0, 1):
-        fam = get_family(config, level, 8)
-        words = [w for w in fam.words if w.length >= 2]
-        for _ in range(30):
-            total = rnd.randint(1, 3)
-            s = rnd.randint(0, total)
-            r = total - s
-            dmax, dmin = s, -r
-            d = rnd.randint(dmin, dmax)
-            segment = _random_segment(rnd, config, level, total)
-            elem = segment_element(segment, s, d, config, level, field)
-            for w in rnd.sample(words, min(4, len(words))):
-                checked += 1
-                if occurrence_project(segment, s, d, w, field) != project_element(elem, w):
-                    ok = False
+    for _ in range(segments):
+        level = rnd.choice((0, 1))
+        words = [w for w in get_family(config, level, kmax).words if w.length >= 2]
+        total = rnd.randint(1, 3)
+        s = rnd.randint(0, total)
+        d = rnd.randint(-(total - s), s)
+        segment = _random_segment(rnd, config, level, total)
+        elem = segment_element(segment, s, d, config, level, field)
+        for w in words:
+            checked += 1
+            if occurrence_project(segment, s, d, w, field) != project_element(elem, w):
+                ok = False
     return [CheckResult("occurrence-oracle", ok,
-                        f"occurrence formula == direct projection on {checked} cases")]
+                        f"occurrence formula == direct projection on {checked} cases: "
+                        f"{segments} random segment monomials at levels 0 and 1, "
+                        f"|W| <= {kmax}")]
 
 
 def suite_bratteli(config: SystemConfig, field: Field, seed: int) -> list[CheckResult]:
@@ -240,14 +250,16 @@ def suite_bratteli(config: SystemConfig, field: Field, seed: int) -> list[CheckR
     return out
 
 
-def suite_sylvester(config: SystemConfig, field: Field, seed: int) -> list[CheckResult]:
+def suite_sylvester(config: SystemConfig, field: Field, seed: int,
+                    pairs: int = 15) -> list[CheckResult]:
+    """Sylvester-type rank inequalities on random pairs at level 3, cap 12."""
     rnd = random.Random(seed)
     # products of radius-1, degree-<=2 elements have radius up to 3
     level, kmax = 3, 12
     ok_prod = True
     ok_diag = True
     ok_star = True
-    for _ in range(15):
+    for _ in range(pairs):
         a = _random_element(rnd, config, field)
         b = _random_element(rnd, config, field)
         iva = rank_interval(a, level, kmax)
@@ -266,7 +278,8 @@ def suite_sylvester(config: SystemConfig, field: Field, seed: int) -> list[Check
     zero = rank_interval(CrossedElement.zero(config, field), level, kmax)
     return [
         CheckResult("product-upper-bound", ok_prod,
-                    "upper(ab) <= min(upper a, upper b) + widths"),
+                    f"upper(ab) <= min(upper a, upper b) + widths on {pairs} random "
+                    f"pairs (n={level}, kmax={kmax})"),
         CheckResult("diag-additivity", ok_diag,
                     "partial(diag(a,b)) = partial(a) + partial(b) exactly"),
         CheckResult("adjoint-partial", ok_star, "partial(a*) = partial(a) exactly"),

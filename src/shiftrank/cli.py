@@ -148,6 +148,8 @@ def cmd_rank(args) -> int:
         entries = [[m]]
     else:
         entries = _parse_matrix_file(args.matrix, config, field)
+    if level < 0:
+        raise BadConfig(f"level must be >= 0 (got {level})")
     max_radius = max(e.radius for row in entries for e in row)
     if level < max_radius:
         print(f"note: raising level {level} -> {max_radius} (expression radius)",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
 
 from .crossed import CrossedElement, TruncatedElement, truncate
 from .errors import BadConfig, LevelTooSmall
@@ -100,34 +99,27 @@ class _Compiled:
     def __init__(self, trunc: list[list[TruncatedElement]], field: Field):
         self.dim = len(trunc)
         self.mod = field.p if isinstance(field, PrimeField) else None
-        raw = []
-        denoms = []
-        for row in trunc:
-            for tr in row:
-                for d, f in tr.element.coeffs.items():
-                    if self.mod is None:
-                        denoms.extend(v.denominator for v in f.values.values())
-        scale = lcm(*denoms) if denoms else 1
-        for row in trunc:
-            raw_row = []
-            for tr in row:
-                per = []
-                for d, f in sorted(tr.element.coeffs.items()):
-                    if self.mod is None:
-                        conv = lambda v: int(v * scale)
-                    else:
-                        conv = lambda v: v.value
-                    if f.hi < f.lo:
-                        per.append((d, 0, -1, None, conv(f.values[""])))
-                    else:
-                        table = {w: conv(v) for w, v in f.values.items()}
-                        per.append((d, f.lo, f.hi, table, None))
-                raw_row.append(per)
-            raw.append(raw_row)
-        self.entries = raw
+        coeffs = [[sorted(tr.element.coeffs.items()) for tr in row] for row in trunc]
+        if self.mod is None:
+            scale = lcm(*(v.denominator for row in coeffs for per in row
+                          for _, f in per for v in f.values.values()))
+            conv = lambda v: int(v * scale)
+        else:
+            conv = lambda v: v.value
+        self.entries = [
+            [
+                [
+                    (d, 0, -1, None, conv(f.values[""])) if f.hi < f.lo
+                    else (d, f.lo, f.hi, {w: conv(v) for w, v in f.values.items()}, None)
+                    for d, f in per
+                ]
+                for per in row
+            ]
+            for row in coeffs
+        ]
         self.single = None
-        if self.dim == 1 and len(raw[0][0]) == 1:
-            self.single = raw[0][0][0]
+        if self.dim == 1 and len(self.entries[0][0]) == 1:
+            self.single = self.entries[0][0][0]
 
     def word_rank(self, word: ReturnWord) -> int:
         k = word.length
@@ -271,38 +263,26 @@ def _prepare(m, level: int) -> tuple[list[list[TruncatedElement]], SystemConfig,
     return trunc, config, field, eps
 
 
-def _partials(compiled: _Compiled, family: TowerFamily):
-    partial = Fraction(0)
-    per_word = []
-    for w in family.words:
-        r = compiled.word_rank(w)
-        if r:
-            partial += w.measure * r
-        per_word.append(r)
-    return partial, per_word
-
-
-def rank_interval(m, level: int, kmax: int) -> RankInterval:
-    """Certified enclosure of the rank of a matrix over the crossed product."""
+def _interval(m, level: int, kmax: int) -> tuple[RankInterval, TowerFamily, list[int]]:
+    """The certified interval, with the family and the rank on each of its words."""
     trunc, config, field, eps = _prepare(m, level)
     dim = len(trunc)
     family = get_family(config, level, kmax)
     compiled = _Compiled(trunc, field)
-    partial, _ = _partials(compiled, family)
-    lower = max(Fraction(0), partial - eps)
-    upper = min(Fraction(dim), partial + dim * family.tail + eps)
-    return RankInterval(
-        lower=lower, upper=upper, level=level, kmax=kmax, epsilon=eps,
-        tail=family.tail, partial=partial, dim=dim, field_name=field.name,
-        words_used=len(family.words),
+    ranks = [compiled.word_rank(w) for w in family.words]
+    partial = sum((w.measure * r for w, r in zip(family.words, ranks) if r), Fraction(0))
+    iv = RankInterval(
+        lower=max(Fraction(0), partial - eps),
+        upper=min(Fraction(dim), partial + dim * family.tail + eps),
+        level=level, kmax=kmax, epsilon=eps, tail=family.tail, partial=partial,
+        dim=dim, field_name=field.name, words_used=len(family.words),
     )
+    return iv, family, ranks
 
 
-def refine(m, schedule: Sequence[tuple[int, int]]) -> list[RankInterval]:
-    """One certified interval per (level, kmax) schedule entry."""
-    if not schedule:
-        raise BadConfig("refine needs a nonempty schedule")
-    return [rank_interval(m, n, kmax) for n, kmax in schedule]
+def rank_interval(m, level: int, kmax: int) -> RankInterval:
+    """Certified enclosure of the rank of a matrix over the crossed product."""
+    return _interval(m, level, kmax)[0]
 
 
 def auto_refine(m, level: int, width_target: Fraction = Fraction(1, 10**6),
@@ -320,18 +300,7 @@ def auto_refine(m, level: int, width_target: Fraction = Fraction(1, 10**6),
 
 def rank_report(m, level: int, kmax: int, include_per_word: bool = True) -> dict:
     """Interval JSON plus per-word contributions sorted by contribution."""
-    trunc, config, field, eps = _prepare(m, level)
-    dim = len(trunc)
-    family = get_family(config, level, kmax)
-    compiled = _Compiled(trunc, field)
-    partial, ranks = _partials(compiled, family)
-    lower = max(Fraction(0), partial - eps)
-    upper = min(Fraction(dim), partial + dim * family.tail + eps)
-    iv = RankInterval(
-        lower=lower, upper=upper, level=level, kmax=kmax, epsilon=eps,
-        tail=family.tail, partial=partial, dim=dim, field_name=field.name,
-        words_used=len(family.words),
-    )
+    iv, family, ranks = _interval(m, level, kmax)
     doc = iv.to_json_dict()
     if include_per_word:
         rows = []

@@ -85,10 +85,6 @@ class LaurentPoly:
         """Multiply by the unit t^k."""
         return LaurentPoly(self.field, {e + k: c for e, c in self.coeffs.items()})
 
-    def substitute_power(self, l: int) -> "LaurentPoly":
-        """Substitute t -> t^l; exponents must stay integral (l != 0)."""
-        return LaurentPoly(self.field, {e * l: c for e, c in self.coeffs.items()})
-
     def evaluate(self, alpha):
         """Value at t = alpha; alpha must be a nonzero scalar."""
         if not alpha:

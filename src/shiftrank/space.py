@@ -108,49 +108,35 @@ def _shrink(lo, hi, words, m, values: dict | None = None):
 
     For sets (values None) an edge coordinate is dropped when every reduced
     word has all m extensions present; for functions, when all m extensions
-    carry equal values (absent = zero).
+    carry equal values (absent = zero).  The right edge is reduced first,
+    then the left.
     """
     words = set(words)
-    while lo <= hi:
-        groups: dict[str, list] = {}
-        ok = True
-        for w in words:
-            groups.setdefault(w[:-1], []).append(w)
-        for key, grp in groups.items():
-            if len(grp) != m:
-                ok = False
-                break
-            if values is not None:
-                first = values[grp[0]]
-                if any(values[g] != first for g in grp[1:]):
+    for right in (True, False):
+        keep = slice(None, -1) if right else slice(1, None)
+        while lo <= hi:
+            groups: dict[str, list] = {}
+            ok = True
+            for w in words:
+                groups.setdefault(w[keep], []).append(w)
+            for key, grp in groups.items():
+                if len(grp) != m:
                     ok = False
                     break
-        if not ok:
-            break
-        if values is not None:
-            values = {key: values[grp[0]] for key, grp in groups.items()}
-        words = set(groups)
-        hi -= 1
-    while lo <= hi:
-        groups = {}
-        ok = True
-        for w in words:
-            groups.setdefault(w[1:], []).append(w)
-        for key, grp in groups.items():
-            if len(grp) != m:
-                ok = False
+                if values is not None:
+                    first = values[grp[0]]
+                    if any(values[g] != first for g in grp[1:]):
+                        ok = False
+                        break
+            if not ok:
                 break
             if values is not None:
-                first = values[grp[0]]
-                if any(values[g] != first for g in grp[1:]):
-                    ok = False
-                    break
-        if not ok:
-            break
-        if values is not None:
-            values = {key: values[grp[0]] for key, grp in groups.items()}
-        words = set(groups)
-        lo += 1
+                values = {key: values[grp[0]] for key, grp in groups.items()}
+            words = set(groups)
+            if right:
+                hi -= 1
+            else:
+                lo += 1
     if lo > hi:
         lo, hi = 0, -1
     return lo, hi, frozenset(words), values
@@ -228,9 +214,6 @@ class ClopenSet:
             full = frozenset("".join(p) for p in product(self.config.letters, repeat=hi - lo + 1))
         return ClopenSet._make(self.config, lo, hi, full - self.words)
 
-    def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
-
     def shift(self, i: int) -> "ClopenSet":
         """T^i(U): constraints at coordinate c move to c - i."""
         if self.hi < self.lo:
@@ -239,11 +222,6 @@ class ClopenSet:
 
     def subset_of(self, other: "ClopenSet") -> bool:
         return self.intersect(other) == self
-
-    def contains_point(self, point: "Point") -> bool:
-        if self.hi < self.lo:
-            return self.is_all()
-        return point.window_word(self.lo, self.hi) in self.words
 
     def _joint_window(self, other: "ClopenSet"):
         if other.config != self.config:
@@ -266,23 +244,6 @@ def cylinder(config: SystemConfig, offset: int, word: str) -> ClopenSet:
 def level_base(config: SystemConfig, n: int) -> ClopenSet:
     """The level-n tower base: 2n+1 marker letters on the window [-n, n]."""
     return cylinder(config, -n, config.marker_char * (2 * n + 1))
-
-
-@dataclass(frozen=True)
-class Point:
-    """Eventually-constant point: explicit letters on a window, default outside."""
-
-    offset: int
-    letters: str
-    default: int
-
-    def letter_at(self, c: int) -> str:
-        if self.offset <= c < self.offset + len(self.letters):
-            return self.letters[c - self.offset]
-        return str(self.default)
-
-    def window_word(self, lo: int, hi: int) -> str:
-        return "".join(self.letter_at(c) for c in range(lo, hi + 1))
 
 
 class LocallyConstantFn:
@@ -410,12 +371,6 @@ class LocallyConstantFn:
             _canonical=True,
         )
 
-    def value_at(self, point: Point):
-        if self.hi < self.lo:
-            return self.values.get("", self.field.zero)
-        w = point.window_word(self.lo, self.hi)
-        return self.values.get(w, self.field.zero)
-
     def support(self) -> ClopenSet:
         return ClopenSet._make(self.config, self.lo, self.hi, set(self.values))
 
@@ -445,12 +400,3 @@ class LocallyConstantFn:
         )
         return f"LocallyConstantFn([{self.lo},{self.hi}] {items})"
 
-
-def fn_eval(f: LocallyConstantFn, point: Point):
-    """Value of f at an eventually-constant point."""
-    return f.value_at(point)
-
-
-def rank_locally_constant(f: LocallyConstantFn) -> Fraction:
-    """The measure of the support of f: the rank a full measure assigns to f."""
-    return f.support().measure()

@@ -13,14 +13,19 @@ letters (``tower_tail``, ``mass_deficit``), which lists no word.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import BadConfig, LevelMismatch
-from .space import ClopenSet, Point, SystemConfig, cylinder, level_base
+from .space import ClopenSet, SystemConfig, cylinder, level_base
+
+
+def _require_nonnegative(**values: int) -> None:
+    for name, v in values.items():
+        if v < 0:
+            raise BadConfig(f"{name} must be >= 0 (got {v})")
 
 
 @dataclass(frozen=True)
@@ -30,21 +35,12 @@ class LevelScheme:
     config: SystemConfig
     level: int
 
+    def __post_init__(self):
+        _require_nonnegative(level=self.level)
+
     @property
     def base(self) -> ClopenSet:
         return level_base(self.config, self.level)
-
-    @property
-    def window_width(self) -> int:
-        return 2 * self.level + 1
-
-    def partition_words(self) -> Iterator[str]:
-        """All non-marker window words (the cells of the partition)."""
-        marker_block = self.config.marker_char * self.window_width
-        for letters in product(self.config.letters, repeat=self.window_width):
-            w = "".join(letters)
-            if w != marker_block:
-                yield w
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +66,6 @@ class ReturnWord:
 
     def clopen(self) -> ClopenSet:
         return cylinder(self.config, -self.level, self.content)
-
-    def rep_point(self, i: int = 0) -> Point:
-        """Representative of T^i(W): content at offset -n-i, marker default."""
-        return Point(-self.level - i, self.content, self.config.marker)
 
     def rep_window_word(self, i: int, lo: int, hi: int) -> str:
         """Letters of the T^i(W) representative on coordinates [lo, hi]."""
@@ -168,15 +160,10 @@ def iter_return_words(scheme: LevelScheme, kmax: int) -> Iterator[ReturnWord]:
 
 
 def enumerate_return_words(scheme: LevelScheme, kmax: int) -> TowerFamily:
+    _require_nonnegative(kmax=kmax)
     words = tuple(iter_return_words(scheme, kmax))
     mass = sum((w.length * w.measure for w in words), Fraction(0))
     return TowerFamily(scheme, kmax, words, 1 - mass)
-
-
-def tail_mass(family: TowerFamily) -> Fraction:
-    """1 - sum |W| mu(W) over the enumerated words, exactly."""
-    mass = sum((w.length * w.measure for w in family.words), Fraction(0))
-    return 1 - mass
 
 
 def _pattern_automaton(pattern: str, letters: str) -> dict[tuple[int, str], tuple[int, bool]]:
@@ -278,8 +265,7 @@ def tower_tail(config: SystemConfig, level: int, kmax: int) -> Fraction:
     recursion makes kmax steps over at most 2n+1 states, so caps far beyond
     enumeration are reachable.
     """
-    if level < 0 or kmax < 0:
-        raise BadConfig(f"level and kmax must be >= 0 (got level {level}, kmax {kmax})")
+    _require_nonnegative(level=level, kmax=kmax)
     return 1 - sum((k * m for k, m, _ in _length_sums(config, level, kmax)), Fraction(0))
 
 
@@ -290,29 +276,15 @@ def mass_deficit(coarse: ReturnWord, fine_kmax: int) -> Fraction:
     fine_kmax)).deficit``: edge_offsets counts the occurrences of the coarse
     content in the fine content less its first and last letter.
     """
-    if fine_kmax < 0:
-        raise BadConfig(f"fine kmax must be >= 0 (got {fine_kmax})")
+    _require_nonnegative(fine_kmax=fine_kmax)
     sums = _length_sums(coarse.config, coarse.level + 1, fine_kmax, coarse.content)
     return coarse.measure - sum((c for _, _, c in sums), Fraction(0))
 
 
-_family_cache: dict[tuple, TowerFamily] = {}
-_FAMILY_CACHE_LIMIT = 12
-_family_lock = threading.Lock()
-
-
+@lru_cache(maxsize=12)
 def get_family(config: SystemConfig, level: int, kmax: int) -> TowerFamily:
     """Cached enumeration; large families are reused across computations."""
-    key = (config, level, kmax)
-    with _family_lock:
-        fam = _family_cache.get(key)
-    if fam is None:
-        fam = enumerate_return_words(LevelScheme(config, level), kmax)
-        with _family_lock:
-            if len(_family_cache) >= _FAMILY_CACHE_LIMIT:
-                _family_cache.pop(next(iter(_family_cache)))
-            _family_cache[key] = fam
-    return fam
+    return enumerate_return_words(LevelScheme(config, level), kmax)
 
 
 def edge_offsets(coarse: ReturnWord, fine: ReturnWord) -> tuple[int, ...]:
@@ -381,12 +353,8 @@ def verify_mass_identity(coarse: ReturnWord, fine: TowerFamily) -> MassIdentity:
 def bratteli_export(config: SystemConfig, from_level: int, kmax: int,
                     fmt: str = "json") -> str:
     """Render the level n -> n+1 diagram slice with edge multiplicities |J|."""
-    if kmax < 1:
-        coarse_words: tuple[ReturnWord, ...] = ()
-        fine_words: tuple[ReturnWord, ...] = ()
-    else:
-        coarse_words = get_family(config, from_level, kmax).words
-        fine_words = get_family(config, from_level + 1, kmax).words
+    coarse_words = get_family(config, from_level, kmax).words
+    fine_words = get_family(config, from_level + 1, kmax).words
     edges = []
     for w in coarse_words:
         for wp in fine_words:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,13 @@ def test_cli_bad_config_exit_2():
     assert "config error" in out.stderr
     out = _run("rank", "--expr", "t", "--field", "f:9")
     assert out.returncode == 2
+    for args in (("towers", "--level", "-1", "--kmax", "3"),
+                 ("rank", "--expr", "chi(0;0)", "--level", "1", "--kmax", "-3"),
+                 ("rank", "--expr", "chi(0;0)", "--level", "-1", "--kmax", "4"),
+                 ("bratteli", "--from", "-1", "--kmax", "3")):
+        out = _run(*args)
+        assert out.returncode == 2, args
+        assert "config error" in out.stderr and out.stdout == ""
 
 
 def test_cli_parse_error_exit_3():
@@ -164,3 +173,14 @@ def test_cli_lamplighter_preset():
     assert out.returncode == 0
     lines = out.stdout.splitlines()
     assert lines[0].startswith("1111 ") and lines[1].startswith("1110111 ")
+
+
+def test_scripts_run():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for script in (["rank_demo.py"], ["tail_decay.py", "--level", "1", "--caps", "4,8"]):
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / script[0]), *script[1:]],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert out.returncode == 0, out.stderr

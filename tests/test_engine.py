@@ -19,7 +19,6 @@ from shiftrank import (
     parse_expr,
     rank_interval,
     rank_report,
-    refine,
     truncate,
 )
 from shiftrank.checks import _random_element
@@ -127,19 +126,18 @@ def test_fast_path_matches_reference_mod_p():
 
 def test_refine_intervals_intersect():
     e = parse_expr("chi(0;0)", BINARY, QQ)
-    ivs = refine(e, [(1, 6), (1, 12), (2, 6), (2, 12)])
-    assert len(ivs) == 4
+    ivs = [rank_interval(e, n, kmax) for n, kmax in [(1, 6), (1, 12), (2, 6), (2, 12)]]
     for i in range(4):
         for j in range(i + 1, 4):
             assert ivs[i].intersects(ivs[j])
-    with pytest.raises(BadConfig):
-        refine(e, [])
 
 
 def test_refine_unit_and_zero():
-    ivs = refine(parse_expr("t * t'", BINARY, QQ), [(1, 5), (1, 9)])
+    one = parse_expr("t * t'", BINARY, QQ)
+    ivs = [rank_interval(one, n, kmax) for n, kmax in [(1, 5), (1, 9)]]
     assert all(iv.lower <= 1 <= iv.upper for iv in ivs)
-    ivs = refine(CrossedElement.zero(BINARY, QQ), [(0, 4), (1, 4)])
+    zero = CrossedElement.zero(BINARY, QQ)
+    ivs = [rank_interval(zero, n, kmax) for n, kmax in [(0, 4), (1, 4)]]
     assert all(iv.lower == 0 for iv in ivs)
 
 
@@ -164,6 +162,21 @@ def test_rank_report():
     assert again == doc
     contribs = [F(r["contribution"]) for r in doc["per_word"]]
     assert contribs == sorted(contribs, reverse=True)
+    # the report and the interval come from one path, over Q and F_7, for the
+    # base indicator and for a diagonal matrix
+    for field in (QQ, PrimeField(7)):
+        rnd = random.Random(23)
+        a = _random_element(rnd, BINARY, field)
+        b = _random_element(rnd, BINARY, field)
+        zero = CrossedElement.zero(BINARY, field)
+        cases = [(parse_expr("chi(-1;111)", BINARY, field), 1, 6),
+                 ([[a, zero], [zero, b]], 3, 10)]
+        for m, level, kmax in cases:
+            doc = rank_report(m, level, kmax)
+            iv = rank_interval(m, level, kmax)
+            assert {k: v for k, v in doc.items() if k != "per_word"} == iv.to_json_dict()
+            total = sum((F(row["contribution"]) for row in doc["per_word"]), F(0))
+            assert total == iv.partial
 
 
 def test_adjoint_and_diag_partials():

@@ -11,13 +11,10 @@ from shiftrank import (
     BadLetter,
     ClopenSet,
     LocallyConstantFn,
-    Point,
     SystemConfig,
     cylinder,
-    fn_eval,
     level_base,
     parse_system,
-    rank_locally_constant,
 )
 
 F = Fraction
@@ -123,22 +120,12 @@ def test_alpha_translation():
     assert f.alpha(3).support() == f.support().shift(3)
 
 
-def test_point_evaluation():
-    chi0 = LocallyConstantFn.indicator(cylinder(BINARY, 0, "0"), QQ)
-    chi1 = LocallyConstantFn.indicator(cylinder(BINARY, 0, "1"), QQ)
-    f = chi1.scalar_mul(F(2)) + chi0.scalar_mul(F(3))
-    all_ones = Point(0, "", 1)
-    assert fn_eval(f, all_ones) == F(2)
-    assert fn_eval(f, Point(0, "0", 1)) == F(3)
-    assert fn_eval(chi0, Point(5, "0", 1)) == F(0)  # point is 1 at coordinate 0
-
-
 def test_rank_of_locally_constant():
     u = cylinder(BINARY, -2, "01")
     chi = LocallyConstantFn.indicator(u, QQ)
-    assert rank_locally_constant(chi) == u.measure()
-    assert rank_locally_constant(LocallyConstantFn.constant(BINARY, QQ, F(1))) == 1
-    assert rank_locally_constant(chi.scalar_mul(F(5)) - chi.scalar_mul(F(5))) == 0
+    assert chi.support().measure() == u.measure()
+    assert LocallyConstantFn.constant(BINARY, QQ, F(1)).support().measure() == 1
+    assert (chi.scalar_mul(F(5)) - chi.scalar_mul(F(5))).support().measure() == 0
     g = chi.scalar_mul(F(7, 2)) + LocallyConstantFn.indicator(cylinder(BINARY, 5, "1"), QQ)
     h = chi * g
-    assert rank_locally_constant(h) <= min(rank_locally_constant(chi), rank_locally_constant(g))
+    assert h.support().measure() <= min(chi.support().measure(), g.support().measure())

@@ -16,7 +16,6 @@ from shiftrank import (
     iter_return_words,
     mass_deficit,
     parse_system,
-    tail_mass,
     tower_tail,
     verify_mass_identity,
 )
@@ -31,7 +30,6 @@ def test_level_zero_enumeration():
     assert [w.measure for w in fam.words] == [F(1, 4), F(1, 8), F(1, 16)]
     assert [w.length for w in fam.words] == [1, 2, 3]
     assert fam.tail == F(5, 16)
-    assert tail_mass(fam) == fam.tail
 
 
 def test_lamplighter_level_one_words():
@@ -212,6 +210,12 @@ def test_tower_tail_rejects_negative_arguments():
         tower_tail(BINARY, 1, -3)
     with pytest.raises(BadConfig):
         mass_deficit(get_family(BINARY, 0, 1).words[0], -1)
+    with pytest.raises(BadConfig):
+        LevelScheme(BINARY, -1)
+    with pytest.raises(BadConfig):
+        enumerate_return_words(LevelScheme(BINARY, 1), -3)
+    with pytest.raises(BadConfig):
+        get_family(BINARY, -1, 3)
 
 
 @pytest.mark.parametrize("config,level,coarse_cap,fine_caps", [
