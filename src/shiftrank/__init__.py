@@ -1,6 +1,12 @@
 """shiftrank: certified exact rank intervals on the crossed product of the full shift."""
 
-from .crossed import CrossedElement, TruncatedElement, supports_level, truncate
+from .crossed import (
+    CrossedElement,
+    TruncatedElement,
+    supports_level,
+    truncate,
+    truncation_epsilon,
+)
 from .engine import RankInterval, auto_refine, rank_interval, rank_report
 from .errors import (
     BadConfig,

@@ -28,7 +28,7 @@ from .fields import field_from_spec, parse_rational, render_rational
 from .linalg import matrix_rank
 from .periodic import PeriodicPoint, evaluation_rank, periodic_rank_kt, rho_finite
 from .space import SystemConfig, parse_system
-from .towers import LevelScheme, bratteli_export, enumerate_return_words
+from .towers import LevelScheme, _require_nonnegative, bratteli_export, enumerate_return_words
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,6 +106,7 @@ def _configure(args) -> tuple[SystemConfig, object, int]:
         system = DEFAULT_SYSTEM
         marker = 1
         level = int(val) if val else 1
+    _require_nonnegative(level=level, kmax=args.kmax)
     config = parse_system(system, marker)
     field = field_from_spec(args.field)
     return config, field, level
@@ -148,8 +149,6 @@ def cmd_rank(args) -> int:
         entries = [[m]]
     else:
         entries = _parse_matrix_file(args.matrix, config, field)
-    if level < 0:
-        raise BadConfig(f"level must be >= 0 (got {level})")
     max_radius = max(e.radius for row in entries for e in row)
     if level < max_radius:
         print(f"note: raising level {level} -> {max_radius} (expression radius)",

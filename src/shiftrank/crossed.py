@@ -190,38 +190,63 @@ class TruncatedElement:
         return TruncatedElement(self.element.adjoint(), self.level, self.epsilon)
 
 
+def _meets_strip(f: LocallyConstantFn, n: int, d: int) -> bool:
+    """Whether the nonzero f is nonzero somewhere on the degree-d strip.
+
+    The strip is E_n u T(E_n) u ... u T^(d-1)(E_n) for d > 0 and
+    T^-1(E_n) u ... u T^d(E_n) for d < 0.  f meets T^u(E_n), whose window
+    is [-n-u, n-u], iff the windows do not overlap (the shift is full, so
+    the two constraints are independent) or some value word of f carries
+    the marker letter at every coordinate of the overlap.  Once the windows
+    stop overlapping the answer is yes, so the loop runs at most
+    min(|d|, n + radius(f) + 2) times.
+    """
+    if f.hi < f.lo:
+        return True
+    marker = f.config.marker_char
+    for u in (range(d) if d > 0 else range(-1, d - 1, -1)):
+        a, b = max(f.lo, -n - u), min(f.hi, n - u)
+        if a > b:
+            return True
+        if any(not w[a - f.lo : b - f.lo + 1].strip(marker) for w in f.values):
+            return True
+    return False
+
+
+def truncation_epsilon(a: CrossedElement, n: int) -> Fraction:
+    """The rank error bound of truncating a at level n.
+
+    It charges |d| * mu(E_n) for every degree d != 0 whose coefficient is
+    nonzero somewhere on its strip, that is, whose coefficient truncation
+    changes; the charge is zero exactly when a lies in the level-n algebra.
+    """
+    charged = sum(abs(d) for d, f in a.coeffs.items() if d and _meets_strip(f, n, d))
+    return charged * level_base(a.config, n).measure()
+
+
 def supports_level(element: CrossedElement, n: int) -> bool:
-    """Check the support condition: the degree-d coefficient vanishes on the
-    union of translated level bases that the truncation at level n masks."""
-    for d, f in element.coeffs.items():
-        if d == 0:
-            continue
-        mask = LocallyConstantFn.indicator(_tail_mask(element.config, n, d), element.field)
-        if f * mask != f:
-            return False
-    return True
+    """Check the support condition: no degree-d coefficient (d != 0) is
+    nonzero on the degree-d strip of level-n bases that truncation masks."""
+    return not any(d and _meets_strip(f, n, d) for d, f in element.coeffs.items())
 
 
 def truncate(a: CrossedElement, n: int) -> TruncatedElement:
     """Project a into the level-n approximating algebra.
 
     Requires n >= radius(a) so that every coefficient is constant on the
-    level-n tower cells.  The error bound charges |d| * mu(E_n) for every
-    degree d whose coefficient the masking actually changed.
+    level-n tower cells.  A coefficient that meets its strip is multiplied
+    by the strip's complement (`_tail_mask`, a set of about 2^(|d|+2n+1)
+    window words); the error bound is `truncation_epsilon`.  The rank path
+    in `engine` never builds the masked element: it reads each coefficient
+    only on tower cells outside its strip, where the mask is 1.
     """
     if n < a.radius:
         raise LevelTooSmall(f"level {n} below element radius {a.radius}")
-    base_measure = level_base(a.config, n).measure()
     out: dict[int, LocallyConstantFn] = {}
-    eps = Fraction(0)
     for d, f in a.coeffs.items():
-        if d == 0:
+        if d and _meets_strip(f, n, d):
+            f = f * LocallyConstantFn.indicator(_tail_mask(a.config, n, d), a.field)
+        if not f.is_zero():
             out[d] = f
-            continue
-        mask = LocallyConstantFn.indicator(_tail_mask(a.config, n, d), a.field)
-        g = f * mask
-        if g != f:
-            eps += abs(d) * base_measure
-        if not g.is_zero():
-            out[d] = g
-    return TruncatedElement(CrossedElement(a.config, a.field, out), n, eps)
+    return TruncatedElement(CrossedElement(a.config, a.field, out), n,
+                            truncation_epsilon(a, n))

@@ -14,6 +14,14 @@ The per-word ranks run on integer-compiled tables (scaled rationals, or
 residues mod p) with a sparse fraction-free elimination; this is an
 optimized equivalent of projecting via the representation module and
 taking the scalar-field rank, and the test suite cross-checks the two.
+
+The masked (truncated) element is never built.  eps is
+`crossed.truncation_epsilon`, a strip test on each coefficient, and the
+tables hold the entries' own coefficients.  On a return word of length k a
+degree-d coefficient is read only on rows i in [max(d, 0), k + min(d, 0)):
+the tower cells at height >= d (or <= k-1+d for negative d), which lie
+outside its truncation strip, where the mask is 1.  So every per-word
+matrix, and partial, is exactly that of the truncated matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
-from .crossed import CrossedElement, TruncatedElement, truncate
+from .crossed import CrossedElement, truncation_epsilon
 from .errors import BadConfig, LevelTooSmall
 from .fields import Field, PrimeField, render_rational
 from .space import SystemConfig
@@ -92,14 +100,18 @@ def _normalize_matrix(m) -> list[list[CrossedElement]]:
 
 
 class _Compiled:
-    """Integer-compiled projection tables for one truncated element matrix."""
+    """Integer-compiled projection tables for one element matrix.
+
+    word_rank is the rank of the matrix's truncation on the word; the
+    entries themselves need not be truncated (see the module docstring).
+    """
 
     __slots__ = ("dim", "mod", "entries", "single")
 
-    def __init__(self, trunc: list[list[TruncatedElement]], field: Field):
-        self.dim = len(trunc)
+    def __init__(self, entries: list[list[CrossedElement]], field: Field):
+        self.dim = len(entries)
         self.mod = field.p if isinstance(field, PrimeField) else None
-        coeffs = [[sorted(tr.element.coeffs.items()) for tr in row] for row in trunc]
+        coeffs = [[sorted(e.coeffs.items()) for e in row] for row in entries]
         if self.mod is None:
             scale = lcm(*(v.denominator for row in coeffs for per in row
                           for _, f in per for v in f.values.values()))
@@ -247,7 +259,7 @@ def _sparse_rank(rows, mod) -> int:
     return rank
 
 
-def _prepare(m, level: int) -> tuple[list[list[TruncatedElement]], SystemConfig, Field, Fraction]:
+def _prepare(m, level: int) -> tuple[list[list[CrossedElement]], SystemConfig, Field, Fraction]:
     entries = _normalize_matrix(m)
     config = entries[0][0].config
     field = entries[0][0].field
@@ -258,17 +270,16 @@ def _prepare(m, level: int) -> tuple[list[list[TruncatedElement]], SystemConfig,
     max_radius = max(e.radius for row in entries for e in row)
     if level < max_radius:
         raise LevelTooSmall(f"level {level} below matrix radius {max_radius}")
-    trunc = [[truncate(e, level) for e in row] for row in entries]
-    eps = sum((tr.epsilon for row in trunc for tr in row), Fraction(0))
-    return trunc, config, field, eps
+    eps = sum((truncation_epsilon(e, level) for row in entries for e in row), Fraction(0))
+    return entries, config, field, eps
 
 
 def _interval(m, level: int, kmax: int) -> tuple[RankInterval, TowerFamily, list[int]]:
     """The certified interval, with the family and the rank on each of its words."""
-    trunc, config, field, eps = _prepare(m, level)
-    dim = len(trunc)
+    entries, config, field, eps = _prepare(m, level)
+    dim = len(entries)
     family = get_family(config, level, kmax)
-    compiled = _Compiled(trunc, field)
+    compiled = _Compiled(entries, field)
     ranks = [compiled.word_rank(w) for w in family.words]
     partial = sum((w.measure * r for w, r in zip(family.words, ranks) if r), Fraction(0))
     iv = RankInterval(

@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive between tokens)::
 
 Postfix ``'`` is the involution; ``t^-k`` and ``(t')^k`` denote the same
 element.  A power on a parenthesized group is repeated multiplication and
-must be nonnegative (general elements have no inverse).  Parsing then
-rendering then parsing is a fixed point.
+must be nonnegative (general elements have no inverse) and at most
+MAX_GROUP_POWER, so that parsing stays cheap.  Parsing then rendering then
+parsing is a fixed point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .crossed import CrossedElement
 from .errors import DivisionByZero, ExprSyntaxError
 from .fields import Field, PrimeField
 from .space import LocallyConstantFn, SystemConfig, cylinder
+
+MAX_GROUP_POWER = 64
 
 
 class _Token:
@@ -125,9 +128,10 @@ class _Parser:
             if self.peek().kind == "^":
                 caret = self.take()
                 power = self.int_literal()
-                if power < 0:
+                if not 0 <= power <= MAX_GROUP_POWER:
                     raise ExprSyntaxError(
-                        "negative power of a parenthesized factor", caret.pos
+                        f"power {power} of a parenthesized factor is outside "
+                        f"0..{MAX_GROUP_POWER}", caret.pos
                     )
                 acc = CrossedElement.one(self.config, self.field)
                 for _ in range(power):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,10 @@ from shiftrank.checks import SUITES, run_suite
 from shiftrank.errors import BadConfig
 
 
-def _run(*args):
+def _run(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "shiftrank", *args],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -67,10 +68,22 @@ def test_cli_bad_config_exit_2():
     for args in (("towers", "--level", "-1", "--kmax", "3"),
                  ("rank", "--expr", "chi(0;0)", "--level", "1", "--kmax", "-3"),
                  ("rank", "--expr", "chi(0;0)", "--level", "-1", "--kmax", "4"),
-                 ("bratteli", "--from", "-1", "--kmax", "3")):
+                 ("bratteli", "--from", "-1", "--kmax", "3"),
+                 ("check", "--suite", "oracle", "--level", "-5", "--kmax", "-2")):
         out = _run(*args)
         assert out.returncode == 2, args
         assert "config error" in out.stderr and out.stdout == ""
+
+
+def test_cli_rank_high_degree_returns():
+    # every degree-d coefficient of (t+1)^p meets its strip: eps = sum d/2
+    for power, eps in ((24, "150"), (40, "410")):
+        out = _run("rank", "--json", "--level", "0", "--kmax", "4",
+                   "--expr", f"(t+1)^{power}", timeout=10)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["epsilon"] == eps
+        assert Fraction(doc["lower"]) <= 1 <= Fraction(doc["upper"])
 
 
 def test_cli_parse_error_exit_3():
@@ -79,6 +92,8 @@ def test_cli_parse_error_exit_3():
     assert "parse error" in out.stderr
     out = _run("rank", "--expr", "chi(0;7)")
     assert out.returncode == 3
+    out = _run("rank", "--expr", "(t+1)^65")
+    assert out.returncode == 3 and "position 5" in out.stderr and out.stdout == ""
 
 
 def test_cli_rank_expr():

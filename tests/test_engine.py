@@ -10,6 +10,7 @@ from shiftrank import (
     BadConfig,
     CrossedElement,
     LevelTooSmall,
+    LocallyConstantFn,
     PrimeField,
     auto_refine,
     cylinder,
@@ -19,9 +20,13 @@ from shiftrank import (
     parse_expr,
     rank_interval,
     rank_report,
+    supports_level,
     truncate,
+    truncation_epsilon,
 )
+from shiftrank import acceptance
 from shiftrank.checks import _random_element
+from shiftrank.crossed import _tail_mask
 from shiftrank.engine import _Compiled, rational_decimal
 from shiftrank.represent import project_matrix
 
@@ -100,28 +105,89 @@ def test_bad_matrix_shape():
         rank_interval([[t, t]], 1, 4)
 
 
-def test_fast_path_matches_reference():
-    rnd = random.Random(21)
-    fam = get_family(BINARY, 1, 7)
+def _mask_epsilon(a, n):
+    """The mask rule: |d| * mu(E_n) for every degree d != 0 whose
+    coefficient changes when multiplied by the explicit strip mask."""
+    mu = level_base(a.config, n).measure()
+    eps = F(0)
+    for d, f in a.coeffs.items():
+        if d and f * LocallyConstantFn.indicator(_tail_mask(a.config, n, d), a.field) != f:
+            eps += abs(d) * mu
+    return eps
+
+
+# caps for the rank cross-check: every level-0 word up to length 24, so that
+# degrees up to +-16 reach rows; small families above, where the reference
+# route projects and eliminates every word
+_CHECK_KMAX = {0: 24, 1: 10, 2: 12, 3: 10}
+
+
+def _cross_check_cases(field):
+    """(matrix, level, kmax): the random elements of the check suites, the
+    criterion 8 and 10 expressions and the high-degree benchmark expressions.
+
+    The mask oracle lists about 2^(|d|+2n+1) window words (12 s for one
+    degree-16 coefficient at level 2), so degrees above 12 run at levels 0
+    and 1 only.
+    """
+    def levels(e, top=2):
+        deg = max((abs(d) for d in e.coeffs), default=0)
+        return [n for n in range(e.radius, max(top, e.radius) + 1) if n < 2 or deg <= 12]
+
+    cases = []
+    rnd = random.Random(31)
+    elements = [_random_element(rnd, BINARY, field) for _ in range(6)]
+    elements += [_random_element(rnd, BINARY, field, max_degree=12) for _ in range(3)]
+    rnd = random.Random(acceptance._SEED)
+    elements += [acceptance._random_radius1_expr(rnd, field) for _ in range(20)]
+    for e in elements:
+        cases += [([[e]], n, _CHECK_KMAX[n]) for n in levels(e)]
+    rnd = random.Random(acceptance._SEED)
+    for _ in range(4):  # criterion 10 ranks a, b and a*b at level 3
+        a = _random_element(rnd, BINARY, field)
+        b = _random_element(rnd, BINARY, field)
+        cases += [([[x]], n, _CHECK_KMAX[n]) for x in (a, b, a * b) for n in levels(x, 3)]
+    zero = CrossedElement.zero(BINARY, field)
+    for text in ("t^16", "t^-16", "-11*t^14", "(t + 3)^10",
+                 "chi(0;1)*t^16 + 2*chi(0;10)*t^-16"):
+        e = parse_expr(text, BINARY, field)
+        cases += [([[e]], n, {0: 24, 1: 12}[n]) for n in levels(e, 1)]
+    mixed = parse_expr("chi(-1;00)*t^12 - 4*t^-9 + chi(0;101)", BINARY, field)
+    chi = parse_expr("chi(-2;101)", BINARY, field)
+    cases += [([[mixed]], 2, 14), ([[parse_expr("6*t^12", BINARY, field)]], 2, 14),
+              ([[chi]], 2, 14), ([[mixed, zero], [zero, chi]], 2, 14)]
+    return cases
+
+
+def _check_fast_path(field, seed):
+    """The rank path against the reference route, exactly: the strip-test
+    epsilon against the mask rule, and _Compiled over the raw entries against
+    the rank of the projected truncated entries on every word."""
+    rnd = random.Random(seed)
+    cases = _cross_check_cases(field)
     for _ in range(12):
         d = rnd.randint(1, 2)
-        entries = [[_random_element(rnd, BINARY, QQ) for _ in range(d)] for _ in range(d)]
-        trunc = [[truncate(e, 1) for e in row] for row in entries]
-        compiled = _Compiled(trunc, QQ)
-        for w in fam.words:
+        cases.append(([[_random_element(rnd, BINARY, field) for _ in range(d)]
+                       for _ in range(d)], 1, 7))
+    for m, n, kmax in cases:
+        trunc = [[truncate(e, n) for e in row] for row in m]
+        for row, trow in zip(m, trunc):
+            for e, tr in zip(row, trow):
+                eps = _mask_epsilon(e, n)
+                assert truncation_epsilon(e, n) == eps == tr.epsilon
+                assert supports_level(e, n) == (eps == 0)
+                assert supports_level(tr.element, n)
+        compiled = _Compiled(m, field)
+        for w in get_family(BINARY, n, kmax).words:
             assert compiled.word_rank(w) == matrix_rank(project_matrix(trunc, w))
+
+
+def test_fast_path_matches_reference():
+    _check_fast_path(QQ, 21)
 
 
 def test_fast_path_matches_reference_mod_p():
-    f7 = PrimeField(7)
-    rnd = random.Random(22)
-    fam = get_family(BINARY, 1, 7)
-    for _ in range(12):
-        entries = [[_random_element(rnd, BINARY, f7)]]
-        trunc = [[truncate(entries[0][0], 1)]]
-        compiled = _Compiled(trunc, f7)
-        for w in fam.words:
-            assert compiled.word_rank(w) == matrix_rank(project_matrix(trunc, w))
+    _check_fast_path(PrimeField(7), 22)
 
 
 def test_refine_intervals_intersect():

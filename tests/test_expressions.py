@@ -15,6 +15,7 @@ from shiftrank import (
     parse_expr,
     render_element,
 )
+from shiftrank.expressions import MAX_GROUP_POWER
 
 F = Fraction
 
@@ -67,6 +68,14 @@ def test_errors():
         _p("chi(0;2)")
     with pytest.raises(DivisionByZero):
         _p("1/0")
+
+
+def test_group_power_cap():
+    assert _p(f"(t + 1)^{MAX_GROUP_POWER}") == _p(f"(t + 1)^{MAX_GROUP_POWER - 1} * (t + 1)")
+    for text, caret in (("(t + 1)^65", 7), ("2 * (t)^100000", 7), ("(t + 1)^-1", 7)):
+        with pytest.raises(ExprSyntaxError) as err:
+            _p(text)
+        assert err.value.position == caret
 
 
 def test_render_fixed_point_on_examples():
